@@ -5,10 +5,11 @@ Usage, from the repository root:
 
 Workloads: large_n, many_shots, split_gains, oracle_sandwich (see README.md).
 Each round runs in a fresh worker process (worker.py) with BLAS/OpenMP
-pinned to one thread; rounds repeat until --seconds have passed. The last
-line of standard output is one JSON object with `correct`, `attempted`,
-`failed` and `metrics`: the end-to-end metrics with --trace 0, the
-per-layer metrics of a traced round with --trace 1.
+pinned to one thread. A run holds at least three rounds, and more until the
+rounds' set-up and timed phases add up to --seconds. The last line of
+standard output is one JSON object with `correct`, `attempted`, `failed` and
+`metrics`: the medians over rounds of the end-to-end metrics with
+--trace 0, of the per-layer metrics of traced rounds with --trace 1.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORKDIR = os.path.join(ROOT, ".perfbench_work")
 WORKLOADS = ("large_n", "many_shots", "split_gains", "oracle_sandwich")
-# A round takes 5-12 s; the whole run must end within 180 s.
-ROUND_TIMEOUT_S = 120
+# A round takes 5-10 s; the whole run must end within 180 s.
+MIN_ROUNDS = 3
+ROUND_TIMEOUT_S = 60
 RUN_LIMIT_S = 150
 PINNED_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -76,14 +78,18 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     rounds = []
     try:
-        # With --trace 1 the first round is untraced: it is the base of the
-        # tracing overhead. Every later round is traced.
+        # A run is whole rounds: at least MIN_ROUNDS, and until the rounds'
+        # set-up and timed phases add up to --seconds. Check time does not
+        # count, so the first round's extra shuffle checks leave the number
+        # of rounds unchanged.
         while True:
-            traced = bool(args.trace) and len(rounds) > 0
-            rounds.append(run_round(args.workload, args.seed, traced, not rounds, env))
+            rounds.append(run_round(args.workload, args.seed, bool(args.trace), not rounds, env))
+            measured = sum(r["setup_s"] + r["wall_s"] for r in rounds)
             elapsed = time.perf_counter() - start
-            enough = elapsed >= args.seconds and (not args.trace or len(rounds) >= 2)
-            if enough or elapsed >= RUN_LIMIT_S:
+            if len(rounds) >= MIN_ROUNDS and measured >= args.seconds:
+                break
+            # Start no round that would likely end past the run's limit.
+            if elapsed + elapsed / len(rounds) >= RUN_LIMIT_S:
                 break
     except (RuntimeError, subprocess.TimeoutExpired, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -100,18 +106,17 @@ def main(argv=None) -> int:
     errors = [e for r in rounds for e in r["errors"]]
     for e in errors:
         print(e, file=sys.stderr)
+    # Every metric is the median over the run's rounds.
     if args.trace:
-        traced = [r for r in rounds if "layers" in r]
-        metrics = {k: {"value": v, "unit": u} for k, (v, u) in traced[0]["layers"].items()}
-        overhead = statistics.median(r["wall_s"] for r in traced) - rounds[0]["wall_s"]
-        metrics["trace.overhead_s"] = {"value": overhead, "unit": "s"}
+        metrics = {
+            name: {"value": statistics.median(r["layers"][name][0] for r in rounds), "unit": unit}
+            for name, (_, unit) in rounds[0]["layers"].items()
+        }
     else:
         metrics = {
-            "wall_s": {"value": statistics.median(r["wall_s"] for r in rounds), "unit": "s"},
-            "cpu_s": {"value": statistics.median(r["cpu_s"] for r in rounds), "unit": "s"},
-            "setup_s": {"value": rounds[0]["setup_s"], "unit": "s"},
-            "peak_rss_mb": {
-                "value": statistics.median(r["peak_rss_mb"] for r in rounds), "unit": "MB"},
+            name: {"value": statistics.median(r[name] for r in rounds), "unit": unit}
+            for name, unit in (("wall_s", "s"), ("cpu_s", "s"), ("setup_s", "s"),
+                               ("peak_rss_mb", "MB"))
         }
     print(json.dumps({
         "correct": not errors,

@@ -1,9 +1,9 @@
 """Run one entbound CLI command with spans recorded around its library calls.
 
-Usage: python3 perfbench/traced_cli.py SPANS_JSON -- <entbound arguments>
+Usage: python3 perfbench/traced_cli.py TRACE_JSON -- <entbound arguments>
 
-Writes {"exit": code, "import_s": ..., "spans": [...]} to SPANS_JSON and
-exits with the CLI's own exit code.
+Writes {"exit": code, "import_s": ..., "spans": [...], "counts": {...}} to
+TRACE_JSON and exits with the CLI's own exit code.
 """
 
 import json
@@ -16,7 +16,7 @@ from spans import Tracer
 def main() -> int:
     out_path = sys.argv[1]
     if sys.argv[2] != "--":
-        raise SystemExit("usage: traced_cli.py SPANS_JSON -- <entbound arguments>")
+        raise SystemExit("usage: traced_cli.py TRACE_JSON -- <entbound arguments>")
     start = time.perf_counter()
     import entbound.cli
 
@@ -28,7 +28,7 @@ def main() -> int:
     finally:
         tracer.uninstall()
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump({"exit": code, "import_s": import_s, "spans": tracer.spans}, fh)
+        json.dump({"exit": code, "import_s": import_s, **tracer.record()}, fh)
     return code
 
 

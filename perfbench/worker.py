@@ -38,14 +38,17 @@ LARGE_N_SIZES = (1000, 2000)
 LARGE_N_SHOTS = 3000
 # many_shots: the paper's N with per-shot Python work dominating.
 MANY_SHOTS_N = 476
-MANY_SHOTS_ROTATE = 100_000
-MANY_SHOTS_SPLIT = 50_000
+MANY_SHOTS_ROTATE = 50_000
+MANY_SHOTS_SPLIT = 25_000
 MANY_SHOTS_P = 0.5
 # split_gains: (N, nominal mu, split probability) around the paper point.
 SPLIT_CASES = ((100, 0.0092, 0.5), (476, 0.005, 0.3))
-# oracle_sandwich: two pure and two mixed squeezed two-qubit states.
-SANDWICH_MIX = (False, False, True, True)
+# oracle_sandwich: one pure and one mixed squeezed two-qubit state.
+SANDWICH_MIX = (False, True)
+WERNER_STATES = 1
+PURE_STATES = 1
 WITNESS_N = 8
+WITNESS_STARTS = 100
 
 
 def _jitter(rng, nominal: float, width: float) -> float:
@@ -74,7 +77,7 @@ class Round:
         self.child_peak_mb = 0.0
         self.cli_walls: list[float] = []
         self.cli_imports: list[float] = []
-        self.child_spans: list[dict] = []
+        self.child_traces: list[dict] = []
 
     def op(self, fn, *args, **kwargs):
         """Run one counted operation; a raise counts as failed, returns None."""
@@ -97,8 +100,8 @@ class Round:
         self.attempted += 1
         log = os.path.join(self.workdir, f"{name}.stderr")
         if self.trace:
-            spans_path = os.path.join(self.workdir, f"{name}.spans.json")
-            cmd = [sys.executable, os.path.join(HERE, "traced_cli.py"), spans_path, "--", *argv]
+            trace_path = os.path.join(self.workdir, f"{name}.trace.json")
+            cmd = [sys.executable, os.path.join(HERE, "traced_cli.py"), trace_path, "--", *argv]
         else:
             cmd = [sys.executable, "-m", "entbound.cli", *argv]
         start = time.perf_counter()
@@ -114,10 +117,10 @@ class Round:
                 self.failures.append(f"{name} exited {proc.returncode}: {fh.read()[-2000:]}")
             return False
         if self.trace:
-            with open(spans_path, encoding="utf-8") as fh:
+            with open(trace_path, encoding="utf-8") as fh:
                 rec = json.load(fh)
             self.cli_imports.append(rec["import_s"])
-            self.child_spans.append(spans.summary(rec["spans"]))
+            self.child_traces.append(rec)
         return True
 
 
@@ -335,12 +338,12 @@ def oracle_sandwich_inputs(rng, seed: int):
         squeezed.append({"rho": eb.DensityMatrix(rho), "seed": seed + k})
     bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
     werner = []
-    for _ in range(2):
+    for _ in range(WERNER_STATES):
         p = float(rng.uniform(0.4, 0.95))
         werner.append({"p": p, "rho": eb.DensityMatrix(
             p * np.outer(bell, bell) + (1 - p) * np.eye(4) / 4)})
     pure = []
-    for _ in range(2):
+    for _ in range(PURE_STATES):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         v /= np.linalg.norm(v)
         pure.append({"psi": v, "rho": eb.DensityMatrix(np.outer(v, v.conj()))})
@@ -369,7 +372,7 @@ def oracle_sandwich_run(inputs, rnd: Round):
     for case in inputs["pure"]:
         out["pure"].append(rnd.op(eb.gr_ppt, case["rho"], (2, 2)))
     out["witness"] = rnd.op(eb.min_over_product_states, inputs["witness"], (2,) * WITNESS_N,
-                            n_starts=200, seed=inputs["seed"])
+                            n_starts=WITNESS_STARTS, seed=inputs["seed"])
     out["verify"] = rnd.op(entbound.verify.run_checks)
     return out
 
@@ -467,15 +470,18 @@ def main() -> int:
     if tracer:
         tracer.uninstall()
 
+    checked = time.perf_counter()
     check(inputs, outputs, rnd)
     result = {
         "ready": ready, "wall_s": wall, "cpu_s": cpu, "peak_rss_mb": peak,
+        "check_s": time.perf_counter() - checked,
         "attempted": rnd.attempted, "failed": rnd.failed, "errors": rnd.errors,
         "failures": rnd.failures,
     }
     if tracer:
-        summ = spans.merge([spans.summary(tracer.spans), *rnd.child_spans])
+        summ = spans.summary([tracer.record(), *rnd.child_traces])
         result["layers"] = layer_metrics(summ, rnd)
+        result["layers"]["trace.overhead_s"] = (spans.overhead_s(summ), "s")
     print(json.dumps(result))
     return 0
 
