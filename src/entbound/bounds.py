@@ -325,15 +325,16 @@ def giovannetti_bounds(
     _check_giovannetti_moments(m)
     sign_a, sign_b = _giovannetti_signs(m)
     if m.mean_value(0) == 0.0 and m.mean_value(3) == 0.0:
-        # Both mean spins vanish: every gain pair is degenerate.
+        # Both mean spins vanish: every gain pair is degenerate, and the zero
+        # bound is exact without a search.
         crit = giovannetti_criterion(m.n_a, m.n_b, 1.0, 1.0)
         zero = BoundResult(
             "bsa", 0.0, math.inf, spectral_constants(crit), None, gains=(1.0, 1.0),
-            diagnostics={"degenerate": True},
+            diagnostics={"degenerate": True, "converged": True},
         )
         zero_gr = BoundResult(
             "gr", 0.0, math.inf, spectral_constants(crit), None, gains=(1.0, 1.0),
-            diagnostics={"degenerate": True},
+            diagnostics={"degenerate": True, "converged": True},
         )
         return GiovannettiReport(math.inf, zero, zero_gr)
 

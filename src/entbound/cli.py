@@ -128,6 +128,8 @@ def cmd_giovannetti(args) -> int:
         "gr_g_z": rep.gr.gains[0] if rep.gr.gains else math.nan,
         "gr_g_y": rep.gr.gains[1] if rep.gr.gains else math.nan,
         "gr_optimal_t": rep.gr.params.t if rep.gr.params else math.nan,
+        "bsa_converged": rep.bsa.diagnostics["converged"],
+        "gr_converged": rep.gr.diagnostics["converged"],
     }
     if rep.bsa.value == 0.0 and rep.gr.value == 0.0:
         report["status"] = "no entanglement certified"

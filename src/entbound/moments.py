@@ -31,7 +31,13 @@ def _pair(i: int, j: int) -> tuple[int, int]:
 def _check_covariance(cov: np.ndarray, size: int, unmeasured, scale: float) -> None:
     if cov.shape != (size, size):
         raise ValidationError(f"covariance must be {size}x{size}, got {cov.shape}")
-    if np.max(np.abs(cov - cov.T)) > SYMMETRY_ATOL:
+    finite = np.isfinite(cov)
+    for i, j in zip(*np.nonzero(~finite)):
+        if _pair(int(i), int(j)) not in unmeasured:
+            raise ValidationError(f"non-finite covariance entry at index ({i}, {j})")
+    # Any non-finite entry left is flagged unmeasured; cov_value never returns it.
+    checked = np.where(finite, cov, 0.0)
+    if np.max(np.abs(checked - checked.T)) > SYMMETRY_ATOL:
         raise ValidationError("covariance matrix is not symmetric")
     # Exactly-zero variances pick up O(eps * N^2) rounding; clip those to 0.
     tol = 1e-9 * max(1.0, scale)
@@ -44,7 +50,15 @@ def _check_covariance(cov: np.ndarray, size: int, unmeasured, scale: float) -> N
             cov[i, i] = 0.0
 
 
+def _check_count(value: float, name: str) -> None:
+    if not math.isfinite(value) or value < 0:
+        raise ValidationError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def _check_mean(mean: np.ndarray, n: float, where: str) -> None:
+    # NaN marks an unmeasured axis; an infinite mean is never valid.
+    if np.any(np.isinf(mean)):
+        raise ValidationError(f"{where}: mean spin has an infinite entry")
     finite = mean[np.isfinite(mean)]
     norm = float(np.sqrt(np.sum(finite**2)))
     if norm > 0.5 * n * 1.10:
@@ -76,8 +90,7 @@ class MomentData:
         mean = np.asarray(self.mean, dtype=float).reshape(3)
         cov = np.asarray(self.covariance, dtype=float).reshape(3, 3)
         unmeasured = frozenset(_pair(int(i), int(j)) for i, j in self.unmeasured)
-        if self.n_particles < 0:
-            raise ValidationError("n_particles must be nonnegative")
+        _check_count(self.n_particles, "n_particles")
         _check_covariance(cov, 3, unmeasured, (self.n_particles / 2) ** 2)
         _check_mean(mean, self.n_particles, "MomentData")
         mean.setflags(write=False)
@@ -134,8 +147,8 @@ class BipartiteMomentData:
         mean_b = np.asarray(self.mean_b, dtype=float).reshape(3)
         cov = np.asarray(self.covariance, dtype=float).reshape(6, 6)
         unmeasured = frozenset(_pair(int(i), int(j)) for i, j in self.unmeasured)
-        if self.n_a < 0 or self.n_b < 0:
-            raise ValidationError("regional atom numbers must be nonnegative")
+        _check_count(self.n_a, "n_a")
+        _check_count(self.n_b, "n_b")
         _check_covariance(cov, 6, unmeasured, ((self.n_a + self.n_b) / 2) ** 2)
         _check_mean(mean_a, self.n_a, "BipartiteMomentData (region A)")
         _check_mean(mean_b, self.n_b, "BipartiteMomentData (region B)")

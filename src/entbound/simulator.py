@@ -3,6 +3,11 @@
 Generates spin-squeezed states by one-axis twisting, computes their exact
 moments through banded actions of J_x, J_y, J_z, propagates moments through
 a binomial spatial split, and samples synthetic shot records.
+
+No dense spin matrix is built. In the Dicke basis J_x is real symmetric
+tridiagonal and J_y = D J_x D^dagger with D = diag(i^k), so one real
+tridiagonal eigensolve per N serves rotations about x and projective
+measurements along x and y, in O(N^2) memory.
 """
 
 from __future__ import annotations
@@ -12,11 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ValidationError
 from .moments import BipartiteMomentData, MomentData, ShotRecord
-from .operators import collective_spin
-from .optimize import golden_section_min
 
 NORM_ATOL = 1e-12
 
@@ -81,20 +85,35 @@ def oat_evolve(state: SpinEnsembleState, mu: float) -> SpinEnsembleState:
 
 @lru_cache(maxsize=32)
 def _jx_eigensystem(n: int):
-    w, v = np.linalg.eigh(collective_spin(n, "x").entries)
+    """Ascending eigenvalues and real orthonormal eigenvectors of J_x.
+
+    The Dicke-basis J_x has a zero diagonal and off-diagonal
+    <m+1|J_x|m> = sqrt(j(j+1) - m(m+1))/2 = sqrt((k+1)(N-k))/2 for m = N/2-k-1.
+    The cached arrays are read-only because every caller shares them.
+    """
+    k = np.arange(n, dtype=float)
+    w, v = eigh_tridiagonal(
+        np.zeros(n + 1), 0.5 * np.sqrt((k + 1) * (n - k)), lapack_driver="stevd"
+    )
+    w.setflags(write=False)
+    v.setflags(write=False)
     return w, v
 
 
-@lru_cache(maxsize=32)
-def _jy_eigensystem(n: int):
-    w, v = np.linalg.eigh(collective_spin(n, "y").entries)
-    return w, v
+def _real_dot(mat: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """mat @ psi for a real mat and complex psi, without a complex copy of mat."""
+    out = mat @ np.column_stack((psi.real, psi.imag))
+    return out[:, 0] + 1j * out[:, 1]
+
+
+# (-i)^k for k mod 4: D^dagger psi with D = diag(i^k) maps J_y onto J_x.
+_MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 
 
 def rotate_x(state: SpinEnsembleState, theta: float) -> SpinEnsembleState:
     """Rotation exp(-i theta J_x) about the mean-spin axis."""
     w, v = _jx_eigensystem(state.n_particles)
-    amps = v @ (np.exp(-1j * theta * w) * (v.conj().T @ state.amplitudes))
+    amps = _real_dot(v, np.exp(-1j * theta * w) * _real_dot(v.T, state.amplitudes))
     amps /= np.linalg.norm(amps)
     return SpinEnsembleState(state.n_particles, amps)
 
@@ -143,29 +162,19 @@ def exact_moments(state: SpinEnsembleState) -> MomentData:
     return MomentData(float(state.n_particles), mean, cov)
 
 
-def optimal_squeezing_rotation(state: SpinEnsembleState, grid: int = 129) -> float:
+def optimal_squeezing_rotation(state: SpinEnsembleState) -> float:
     """Angle theta in [0, pi) minimizing Var(J_z) after rotate_x(state, theta).
 
-    The rotated variance is the quadratic form
-    Var(cos(theta) J_z + sin(theta) J_y), so only the unrotated moments are
-    needed. A coarse grid brackets the minimum of the pi-periodic form before
-    golden-section refinement (a bare golden section can straddle the wrap).
+    The rotated variance is the pi-periodic quadratic form
+    Var(cos(theta) J_z + sin(theta) J_y)
+      = (Var_y + Var_z)/2 + (Var_z - Var_y)/2 cos(2 theta) + Cov_yz sin(2 theta),
+    minimized where (cos 2theta, sin 2theta) points against
+    ((Var_z - Var_y)/2, Cov_yz): the minor eigenvector of the (y, z) covariance.
     """
     mean, second = exact_raw_moments(state)
     cov = second - np.outer(mean, mean)
     var_y, var_z, cov_yz = cov[1, 1], cov[2, 2], cov[1, 2]
-
-    def rotated_var(theta: float) -> float:
-        ct, st = math.cos(theta), math.sin(theta)
-        return ct * ct * var_z + st * st * var_y + 2 * ct * st * cov_yz
-
-    thetas = np.linspace(0.0, math.pi, grid, endpoint=False)
-    values = [rotated_var(t) for t in thetas]
-    best = int(np.argmin(values))
-    h = math.pi / grid
-    lo, hi = thetas[best] - h, thetas[best] + h
-    theta, _, _ = golden_section_min(rotated_var, lo, hi, rel_tol=1e-14)
-    return float(theta % math.pi)
+    return float((0.5 * math.atan2(-2.0 * cov_yz, var_y - var_z)) % math.pi)
 
 
 def split_moments(
@@ -224,20 +233,22 @@ def _axis_distribution(state: SpinEnsembleState, axis: str):
         m = state.jz_values()
         probs = np.abs(state.amplitudes) ** 2
     else:
-        w, v = _jx_eigensystem(n) if axis == "x" else _jy_eigensystem(n)
+        w, v = _jx_eigensystem(n)
         m = np.round(2 * w) / 2
-        probs = np.abs(v.conj().T @ state.amplitudes) ** 2
+        psi = state.amplitudes
+        if axis == "y":
+            psi = _MINUS_I_POWERS[np.arange(n + 1) % 4] * psi
+        probs = np.abs(_real_dot(v.T, psi)) ** 2
     probs = np.clip(probs, 0.0, None)
     return m, probs / probs.sum()
 
 
 def _counts_from_value(total: float, j: float, rng, sigma: float) -> tuple[int, int]:
-    # Quantize the population difference first so J = (n1 - n2)/2 survives
-    # exactly (up to half-integer resolution) even when one count is ~0.
-    d = int(round(2 * j))
+    # Round the total, then the population difference 2J to the nearest
+    # integer of the total's parity: the mean total stays unbiased, and J
+    # picks up about 1/12 of rounding variance.
     t = int(round(total))
-    if (t + d) % 2 != 0:
-        t += 1
+    d = t + 2 * int(round((2 * j - t) / 2))
     n1 = (t + d) // 2
     n2 = (t - d) // 2
     if n2 < 0:

@@ -79,6 +79,48 @@ def test_wineland_missing_flags_exit2(capsys):
     assert "contrast" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--n", "476", "--var-jz", "nan", "--contrast", "0.98"),
+        ("--n", "476", "--var-jz", "inf", "--contrast", "0.98"),
+        ("--n", "nan", "--var-jz", "32", "--contrast", "0.98"),
+        ("--n", "476", "--var-jz", "32", "--contrast", "inf"),
+    ],
+)
+def test_wineland_non_finite_flags_exit2(capsys, flags):
+    code, out, _ = run(capsys, "wineland", *flags)
+    assert code == 2
+    assert "no entanglement certified" not in out
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("covariance", "Infinity"), ("covariance", "NaN"), ("mean", "Infinity"),
+     ("n_particles", "Infinity"), ("n_particles", "NaN")],
+)
+def test_wineland_non_finite_json_exit2(tmp_path, capsys, field, value):
+    obj = {
+        "kind": "single",
+        "n_particles": 476.0,
+        "mean": [233.24, None, None],
+        "covariance": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 32.0]],
+        "unmeasured": [[0, 0], [1, 1], [0, 1], [0, 2], [1, 2]],
+    }
+    text = json.dumps(obj)
+    if field == "covariance":
+        text = text.replace("32.0", value)
+    elif field == "mean":
+        text = text.replace("233.24", value)
+    else:
+        text = text.replace("476.0", value)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, _ = run(capsys, "wineland", "--moments", str(path))
+    assert code == 2
+    assert "no entanglement certified" not in out
+
+
 def test_wineland_from_moments_file(tmp_path, capsys):
     path = tmp_path / "m.json"
     save_moments(wineland_moment_data(476, 32.0, 0.98), path)
@@ -174,6 +216,29 @@ def test_giovannetti_product_ensembles_zero(tmp_path, capsys):
     assert rep["bsa_bound"] == 0.0
     assert rep["gr_bound"] == 0.0
     assert rep["status"] == "no entanglement certified"
+
+
+def test_giovannetti_reports_convergence(tmp_path, capsys):
+    state = rotate_x(oat_evolve(css_x(20), 0.05), 0.3)
+    bp = split_state_moments(state, SplitConfig(0.5))
+    path = tmp_path / "b.json"
+    save_moments(bp, path)
+    lib = giovannetti_bounds(bp, grid_points=1)
+    code, out, _ = run(
+        capsys, "giovannetti", "--moments", str(path), "--grid-points", "1",
+        "--format", "json",
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["bsa_converged"] is lib.bsa.diagnostics["converged"]
+    assert rep["gr_converged"] is lib.gr.diagnostics["converged"]
+    code, out, _ = run(
+        capsys, "giovannetti", "--moments", str(path), "--grid-points", "1",
+    )
+    assert code == 0
+    text = dict(line.split(None, 1) for line in out.splitlines())
+    assert text["bsa_converged"] == str(lib.bsa.diagnostics["converged"])
+    assert text["gr_converged"] == str(lib.gr.diagnostics["converged"])
 
 
 def test_giovannetti_unmeasured_exit2(tmp_path, capsys):

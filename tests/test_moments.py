@@ -142,6 +142,39 @@ def test_moment_data_validation():
         MomentData(4.0, [3.0, 0, 0], np.eye(3))  # |mean| > 1.1 N/2
 
 
+@pytest.mark.parametrize("n", [math.nan, math.inf])
+def test_non_finite_atom_number_rejected(n):
+    with pytest.raises(ValidationError):
+        MomentData(n, [0, 0, 0], np.eye(3))
+    with pytest.raises(ValidationError):
+        BipartiteMomentData(n, 4.0, [0, 0, 0], [0, 0, 0], np.eye(6))
+    with pytest.raises(ValidationError):
+        BipartiteMomentData(4.0, n, [0, 0, 0], [0, 0, 0], np.eye(6))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_covariance_rejected_unless_unmeasured(value):
+    cov = np.eye(3)
+    cov[0, 1] = cov[1, 0] = value
+    with pytest.raises(ValidationError, match="non-finite"):
+        MomentData(4.0, [0, 0, 0], cov)
+    MomentData(4.0, [0, 0, 0], cov, frozenset({(0, 1)}))
+    cov6 = np.eye(6)
+    cov6[2, 2] = value
+    with pytest.raises(ValidationError, match="non-finite"):
+        BipartiteMomentData(4.0, 4.0, [0, 0, 0], [0, 0, 0], cov6)
+
+
+def test_infinite_mean_rejected_nan_mean_unmeasured():
+    with pytest.raises(ValidationError, match="infinite"):
+        MomentData(4.0, [math.inf, 0, 0], np.eye(3))
+    with pytest.raises(ValidationError, match="infinite"):
+        BipartiteMomentData(4.0, 4.0, [0, 0, 0], [0, -math.inf, 0], np.eye(6))
+    md = MomentData(4.0, [1.0, math.nan, 0], np.eye(3))
+    with pytest.raises(UnmeasuredMomentError):
+        md.mean_value(1)
+
+
 def test_moment_data_soft_warning():
     with pytest.warns(UserWarning):
         MomentData(4.0, [2.1, 0, 0], np.eye(3))

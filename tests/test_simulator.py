@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from entbound.errors import ValidationError
 from entbound.moments import estimate_bipartite_moments, estimate_moments
+from entbound.operators import collective_spin
 from entbound.simulator import (
     SpinEnsembleState,
     SplitConfig,
+    _axis_distribution,
     css_x,
     exact_moments,
     exact_raw_moments,
@@ -68,10 +71,47 @@ def test_rotation_identity_and_pi():
     assert after.mean[0] == pytest.approx(before.mean[0], abs=1e-9)
 
 
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return SpinEnsembleState(n, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_rotate_x_matches_dense_expm(n):
+    jx = collective_spin(n, "x").entries
+    state = random_state(n, n)
+    for theta in (0.0, 0.3, -1.1, math.pi / 2, 2.9):
+        dense = expm(-1j * theta * jx) @ state.amplitudes
+        assert np.allclose(rotate_x(state, theta).amplitudes, dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 40])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_axis_distribution_matches_dense_eigh(n, axis):
+    w, v = np.linalg.eigh(collective_spin(n, axis).entries)
+    # a squeezed state and a generic complex state exercise the y phases
+    for state in (squeezed_state(n, 0.2), random_state(n, 7 * n)):
+        m, probs = _axis_distribution(state, axis)
+        assert np.array_equal(m, np.arange(n + 1) - n / 2)
+        assert np.allclose(m, w, rtol=0, atol=1e-10)
+        dense = np.abs(v.conj().T @ state.amplitudes) ** 2
+        assert np.allclose(probs, dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 6, 33, 1000])
+def test_axis_eigenvalues_round_to_dicke_ladder(n):
+    m, _ = _axis_distribution(css_x(n), "x")
+    assert np.array_equal(m, np.arange(n + 1) - n / 2)
+
+
 def test_optimal_rotation_grid_dominance():
     state = oat_evolve(css_x(40), 0.03)
     theta = optimal_squeezing_rotation(state)
     best = exact_moments(rotate_x(state, theta)).covariance[2, 2]
+    # the minimum is the minor eigenvalue of the (y, z) covariance block
+    cov = exact_moments(state).covariance
+    assert best == pytest.approx(np.linalg.eigvalsh(cov[1:, 1:])[0], rel=1e-10)
     for k in range(64):
         angle = k * math.pi / 64
         assert best <= exact_moments(rotate_x(state, angle)).covariance[2, 2] + 1e-12
@@ -215,6 +255,18 @@ def test_bipartite_sampling_matches_split_predictions():
             se = scale * math.sqrt(2 / (k - 1))
             # rounding to integer counts adds at most ~1/12 per count variance
             assert abs(est.cov_value(i, j) - target) <= 3 * se + 0.35
+
+
+def test_moment_data_shots_keep_atom_total_unbiased():
+    # y/z means vanish, so |J| << N/2 and no shot needs a total above N
+    n = 476
+    md = exact_moments(squeezed_state(n, 0.005))
+    est = estimate_moments(sample_shots(md, ("y", "z"), 20_000, seed=4))
+    assert est.n_particles == pytest.approx(n, abs=0.05)
+    bp = split_state_moments(squeezed_state(n, 0.005), SplitConfig(0.5))
+    est_bp = estimate_bipartite_moments(sample_shots(bp, ("y", "z"), 20_000, seed=4))
+    assert est_bp.n_a == pytest.approx(n / 2, abs=0.05)
+    assert est_bp.n_b == pytest.approx(n / 2, abs=0.05)
 
 
 def test_sample_shots_detection_noise_inflates_variance():
