@@ -11,7 +11,10 @@ and a product criterion with U^2 = Var(O1) Var(O2)/<B>^2 certifies
     BSA >= max{0, (<B>/n)(1 - U)}
 
 with the tangent-optimal t_BSA^2 = Var(O1)/(4 Var(O2)), while the GR bound
-maximizes (4 t <B> - Var(O1) - 4 t^2 Var(O2)) / m_t over t >= 0.
+maximizes (4 t <B> - Var(O1) - 4 t^2 Var(O2)) / m_t over t >= 0. That ratio
+of two quadratics has its maximizer in closed form. The Giovannetti gains
+(g_z, g_y) are searched numerically: a fixed grid of starts, then one
+Nelder-Mead polish of the best.
 """
 
 from __future__ import annotations
@@ -45,10 +48,6 @@ from .errors import (
     ValidationError,
 )
 from .moments import BipartiteMomentData, MomentData
-from .optimize import golden_section_max
-
-# Bracket cap for the tangent search when Var(O2) degenerates to 0.
-T_BRACKET_CAP = 1e6
 
 # U^2 within this distance of 1 counts as "no violation": the exact boundary
 # case U^2 = 1 otherwise leaks O(eps) bound values through float rounding.
@@ -136,12 +135,28 @@ def gr_tangent_ratio(criterion: ProductCriterion, moments, t: float) -> float:
     return (4 * t * b_mean - v1 - 4 * t * t * v2) / m_t
 
 
-def gr_from_product(criterion: ProductCriterion, moments, rel_tol: float = 1e-12) -> BoundResult:
-    """GR bound from the tangent family, maximized by golden-section search.
+def _nonnegative_roots(a: float, b: float, c: float) -> list[float]:
+    """Nonnegative real roots of a t^2 + b t + c, ascending, computed without cancellation."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 and -c / b >= 0.0 else []
+    disc = b * b - 4 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    roots = [q / a] + ([c / q] if q != 0.0 else [])
+    return sorted(r for r in roots if r >= 0.0)
 
-    The bracket is [0, <B>/Var(O2)]; past its upper end the numerator is
-    negative. On the bracket the objective is a ratio of a concave quadratic
-    over a positive convex quadratic, rising at t = 0, hence unimodal.
+
+def gr_from_product(criterion: ProductCriterion, moments) -> BoundResult:
+    """GR bound from the tangent family, maximized over t >= 0 in closed form.
+
+    With variances v1, v2, caps c1, c2 and lambda = lambda_min(B), the
+    objective (4 t <B> - v1 - 4 t^2 v2) / (c1 + 4 t^2 c2 - 4 t lambda) is a
+    ratio of two quadratics, so its derivative vanishes where
+    4 (v2 lambda - <B> c2) t^2 + 2 (v1 c2 - v2 c1) t + <B> c1 - v1 lambda = 0.
+    The maximizer is t = 0 or a nonnegative root of that quadratic. With
+    v2 = c2 = 0 the ratio rises without a finite maximizer, and the result
+    is reported degenerate with value 0.
     """
     criterion, b_mean = _normalized_product(criterion, moments)
     consts = spectral_constants(criterion)
@@ -151,36 +166,27 @@ def gr_from_product(criterion: ProductCriterion, moments, rel_tol: float = 1e-12
         )
     v1 = criterion.o1.variance(moments)
     v2 = _o2_variance(criterion, moments)
-    v1_cap = _role_cap(criterion.o1, False)
-    v2_cap = _role_cap(criterion.o2, False)
+    c1 = _role_cap(criterion.o1)
+    c2 = _role_cap(criterion.o2)
     lmin_b = criterion.b.bounds.lambda_min
-
-    t_hi = b_mean / max(v2, b_mean / T_BRACKET_CAP)
-    if not math.isfinite(t_hi) or t_hi <= 0:
-        return BoundResult(
-            "gr", 0.0, product_value(criterion, moments), consts, None,
-            diagnostics={"degenerate": True},
-        )
+    u2 = product_value(criterion, moments)
+    if v2 == 0.0 and c2 == 0.0:
+        return BoundResult("gr", 0.0, u2, consts, None, diagnostics={"degenerate": True})
 
     def objective(t: float) -> float:
-        return (4 * t * b_mean - v1 - 4 * t * t * v2) / (
-            v1_cap + 4 * t * t * v2_cap - 4 * t * lmin_b
-        )
+        return (4 * t * b_mean - v1 - 4 * t * t * v2) / (c1 + 4 * t * t * c2 - 4 * t * lmin_b)
 
-    t_star, ratio, iterations = golden_section_max(objective, 0.0, t_hi, rel_tol=rel_tol)
-    u2 = product_value(criterion, moments)
+    roots = _nonnegative_roots(
+        4 * (v2 * lmin_b - b_mean * c2), 2 * (v1 * c2 - v2 * c1), b_mean * c1 - v1 * lmin_b
+    )
+    # max keeps the first of equal scores, so ties resolve toward smaller t.
+    t_star = max([0.0] + roots, key=objective)
+    ratio = objective(t_star)
     value = 0.0 if u2 >= 1.0 - U2_BOUNDARY_RTOL else max(0.0, ratio)
     params = optimal_shifts(criterion, moments)
     params = WitnessParams(params.s, t_star)
     consts_t = spectral_constants(criterion, t=t_star)
-    diagnostics = {
-        "b_mean": b_mean,
-        "bracket": (0.0, t_hi),
-        "iterations": iterations,
-        "ratio": ratio,
-        "converged": True,
-        "degenerate": v2 == 0.0,
-    }
+    diagnostics = {"b_mean": b_mean, "ratio": ratio, "degenerate": v2 == 0.0}
     return BoundResult("gr", value, u2, consts_t, params, diagnostics=diagnostics)
 
 
@@ -251,7 +257,7 @@ def wineland_bounds(moments: MomentData) -> WinelandReport:
     """BSA = max{0, C(1 - xi)}, tangent-optimized GR, and first-order GR.
 
     The first-order value max{0, C^2 (1 - xi^2)/N} is kept as an independent
-    cross-check of the numeric tangent optimization.
+    cross-check of the closed-form tangent.
     """
     xi2, contrast = wineland_xi2(moments)
     criterion = wineland_criterion(moments.n_particles)
@@ -300,27 +306,24 @@ class GiovannettiReport:
     gr: BoundResult
 
 
-def _gain_starts(grid_points: int, g_range: tuple[float, float]):
-    mags = np.logspace(math.log10(g_range[0]), math.log10(g_range[1]), grid_points)
-    for mz in mags:
-        for my in mags:
-            for sz in (1.0, -1.0):
-                for sy in (1.0, -1.0):
-                    yield (sz * mz, sy * my)
+# Gain-search starts: five log-spaced magnitudes in [0.1, 10] per gain, with both signs.
+GAIN_STARTS = tuple(
+    (float(sz * mz), float(sy * my))
+    for mz in np.logspace(-1.0, 1.0, 5)
+    for my in np.logspace(-1.0, 1.0, 5)
+    for sz in (1.0, -1.0)
+    for sy in (1.0, -1.0)
+)
 
 
-def giovannetti_bounds(
-    m: BipartiteMomentData,
-    grid_points: int = 5,
-    g_range: tuple[float, float] = (0.1, 10.0),
-    nm_max_iter: int = 200,
-) -> GiovannettiReport:
+def giovannetti_bounds(m: BipartiteMomentData) -> GiovannettiReport:
     """Maximize the BSA and GR bounds over the gains (g_z, g_y).
 
-    Deterministic multi-start Nelder-Mead over a log-spaced magnitude grid
-    with both signs; any feasible gain pair certifies, so a suboptimal
-    search only loosens the bound. The GR objective nests the 1-D tangent
-    search at every gain evaluation.
+    Each objective is evaluated at every pair in GAIN_STARTS, and only the
+    best start is polished by one Nelder-Mead run; `converged` records that
+    run's success. Any feasible gain pair certifies, so a suboptimal search
+    only loosens the bound. The GR objective takes its tangent in closed
+    form at every gain pair.
     """
     _check_giovannetti_moments(m)
     sign_a, sign_b = _giovannetti_signs(m)
@@ -356,23 +359,20 @@ def giovannetti_bounds(
         return result.value if ratio is None else ratio
 
     best = {}
-    converged = {"bsa": True, "gr": True}
+    converged = {}
     for name, objective in (("bsa", bsa_objective), ("gr", gr_objective)):
-        best_val, best_g = -math.inf, (1.0, 1.0)
-        for start in _gain_starts(grid_points, g_range):
-            val0 = objective(start)
-            if val0 > best_val:
-                best_val, best_g = val0, start
-            res = sp_optimize.minimize(
-                lambda g: -objective(g),
-                np.array(start, dtype=float),
-                method="Nelder-Mead",
-                options={"maxiter": nm_max_iter, "xatol": 1e-10, "fatol": 1e-14},
-            )
-            if not res.success:
-                converged[name] = False
-            if -res.fun > best_val:
-                best_val, best_g = -res.fun, (float(res.x[0]), float(res.x[1]))
+        values = [objective(g) for g in GAIN_STARTS]
+        k = int(np.argmax(values))
+        best_val, best_g = values[k], GAIN_STARTS[k]
+        res = sp_optimize.minimize(
+            lambda g: -objective(g),
+            np.array(best_g),
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-14},
+        )
+        converged[name] = bool(res.success)
+        if -res.fun > best_val:
+            best_g = (float(res.x[0]), float(res.x[1]))
         best[name] = best_g
 
     g_bsa = best["bsa"]

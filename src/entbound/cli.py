@@ -12,12 +12,11 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bnd
 from . import moments as mom
 from . import simulator as sim
-from .errors import EntboundError, SchemaError
+from .errors import DegenerateCriterionError, EntboundError, SchemaError
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -81,16 +80,16 @@ def cmd_wineland(args) -> int:
 
     try:
         rep = bnd.wineland_bounds(data)
+    except DegenerateCriterionError:
+        report = {
+            "status": "degenerate criterion (<J_x> = 0); no entanglement certified",
+            "bsa_bound": 0.0,
+            "gr_bound": 0.0,
+            "gr_first_order": 0.0,
+        }
+        _emit(report, args.format, args.output)
+        return EXIT_OK
     except EntboundError as exc:
-        if "degenerate" in str(exc).lower():
-            report = {
-                "status": "degenerate criterion (<J_x> = 0); no entanglement certified",
-                "bsa_bound": 0.0,
-                "gr_bound": 0.0,
-                "gr_first_order": 0.0,
-            }
-            _emit(report, args.format, args.output)
-            return EXIT_OK
         raise CliError(str(exc), EXIT_INVALID_INPUT)
 
     report = {
@@ -114,7 +113,7 @@ def cmd_giovannetti(args) -> int:
     if not isinstance(data, mom.BipartiteMomentData):
         raise CliError("giovannetti expects bipartite moments", EXIT_INVALID_INPUT)
     try:
-        rep = bnd.giovannetti_bounds(data, grid_points=args.grid_points)
+        rep = bnd.giovannetti_bounds(data)
     except EntboundError as exc:
         raise CliError(str(exc), EXIT_INVALID_INPUT)
     report = {
@@ -196,13 +195,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(task):
-    n, db, contrast = task
-    data = bnd.wineland_moment_data_from_xi2(n, 10 ** (db / 10), contrast)
-    rep = bnd.wineland_bounds(data)
-    return (n, db, rep.bsa.value, rep.gr.value)
-
-
 def cmd_sweep(args) -> int:
     try:
         n_values = [int(v) for v in args.n_values.split(",")]
@@ -213,17 +205,13 @@ def cmd_sweep(args) -> int:
     if count < 1 or any(n < 1 for n in n_values):
         raise CliError("sweep grid must be nonempty and positive", EXIT_INVALID_INPUT)
     step = (hi - lo) / (count - 1) if count > 1 else 0.0
-    tasks = [
-        (n, lo + k * step, args.contrast) for n in n_values for k in range(count)
-    ]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
     lines = ["N,xi2_db,bsa_bound,gr_bound"]
-    for n, db, bsa, gr in rows:
-        lines.append(f"{n},{db:.10g},{bsa:.15g},{gr:.15g}")
+    for n in n_values:
+        for k in range(count):
+            db = lo + k * step
+            data = bnd.wineland_moment_data_from_xi2(n, 10 ** (db / 10), args.contrast)
+            rep = bnd.wineland_bounds(data)
+            lines.append(f"{n},{db:.10g},{rep.bsa.value:.15g},{rep.gr.value:.15g}")
     text = "\n".join(lines) + "\n"
     if args.output:
         try:
@@ -282,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("giovannetti", help="two-ensemble bounds with gain optimization")
     p.add_argument("--moments", required=True, help="bipartite moments JSON")
-    p.add_argument("--grid-points", type=int, default=5, dest="grid_points",
-                   help="multi-start grid resolution per gain magnitude")
     common(p)
     p.set_defaults(func=cmd_giovannetti)
 
@@ -311,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi2-db", required=True, dest="xi2_db",
                    help="grid LO:HI:COUNT in dB, e.g. --xi2-db=-12:0:25")
     p.add_argument("--contrast", type=float, default=0.98)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_sweep)
 

@@ -270,26 +270,21 @@ def optimal_shifts(criterion, moments) -> WitnessParams:
 # Spectral constants
 
 
-def variance_cap(bounds: SpectralBounds, paper_exact: bool = False) -> float:
+def variance_cap(bounds: SpectralBounds) -> float:
     """Largest variance any state can have for an operator with these bounds.
 
-    The sharp Popoviciu cap ((max-min)/2)^2 is the default; paper_exact
-    switches to max^2, which coincides for symmetric spectra.
+    This is the sharp Popoviciu cap ((max-min)/2)^2.
     """
-    if paper_exact:
-        return bounds.lambda_max**2
     return ((bounds.lambda_max - bounds.lambda_min) / 2) ** 2
 
 
-def _role_cap(role: Role, paper_exact: bool) -> float:
+def _role_cap(role: Role) -> float:
     if isinstance(role, ConstantVariance):
         return role.value
-    return variance_cap(role.bounds, paper_exact)
+    return variance_cap(role.bounds)
 
 
-def spectral_constants(
-    criterion, t: float | None = None, paper_exact: bool = False
-) -> SpectralConstants:
+def spectral_constants(criterion, t: float | None = None) -> SpectralConstants:
     """Normalizers n, m (and m_t for product criteria at tangent t).
 
     n = lambda_max(B); m = sum of per-term variance caps - lambda_min(B);
@@ -298,15 +293,15 @@ def spectral_constants(
     if isinstance(criterion, SumCriterion):
         n = criterion.offset.bounds.lambda_max
         m = (
-            sum(_role_cap(r, paper_exact) for r in criterion.variance_terms)
+            sum(_role_cap(r) for r in criterion.variance_terms)
             + sum(criterion.constant_variance_terms)
             - criterion.offset.bounds.lambda_min
         )
         return SpectralConstants(n, m, None)
     if isinstance(criterion, ProductCriterion):
         n = criterion.b.bounds.lambda_max
-        v1 = _role_cap(criterion.o1, paper_exact)
-        v2 = _role_cap(criterion.o2, paper_exact)
+        v1 = _role_cap(criterion.o1)
+        v2 = _role_cap(criterion.o2)
         m = v1 + v2 - criterion.b.bounds.lambda_min
         m_t = None
         if t is not None:

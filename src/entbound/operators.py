@@ -198,8 +198,7 @@ def partial_transpose(op: HermitianOperator, dims: tuple[int, int]) -> Hermitian
     da, db = dims
     if da * db != op.dim:
         raise DimensionError(f"dims {dims} do not factor dimension {op.dim}")
-    m = op.entries.reshape(da, db, da, db)
-    return HermitianOperator(m.transpose(0, 3, 2, 1).reshape(op.dim, op.dim))
+    return HermitianOperator(partial_transpose_array(op.entries, dims))
 
 
 def partial_transpose_array(matrix: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

@@ -260,14 +260,14 @@ def test_criterion_6_end_to_end_pipeline():
 
     # split pipeline: exact split moments and a sampled-shots path both certify
     bp = split_state_moments(state, SplitConfig(0.5))
-    split_rep = giovannetti_bounds(bp, grid_points=3)
+    split_rep = giovannetti_bounds(bp)
     assert split_rep.g2 < 1.0
     assert split_rep.bsa.value > 0.0
     assert split_rep.gr.value > 0.0
 
     split_shots = sample_shots(bp, ("x", "y", "z"), shots_per_setting, seed=577)
     split_est = estimate_bipartite_moments(split_shots)
-    split_est_rep = giovannetti_bounds(split_est, grid_points=3)
+    split_est_rep = giovannetti_bounds(split_est)
     assert split_est_rep.g2 < 1.0
     assert split_est_rep.bsa.value > 0.0
     assert split_est_rep.gr.value > 0.0

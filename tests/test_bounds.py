@@ -167,12 +167,46 @@ def test_gr_no_violation_is_zero():
     assert res.value == 0.0
 
 
-def test_gr_uses_bracket_and_converges():
-    res = gr_from_product(wineland_criterion(476), PAPER)
-    lo, hi = res.diagnostics["bracket"]
-    assert lo == 0.0
-    assert hi == pytest.approx(233.24 / 476, rel=1e-12)
-    assert res.diagnostics["converged"]
+def test_gr_closed_form_tangent_beats_dense_grid():
+    # the closed-form tangent is never beaten by a dense t grid, and t* is
+    # a stationary point of the ratio (or t = 0)
+    t_grid = np.linspace(0.0, 1.0, 401)
+    for n in (2, 10, 100, 476, 1000, 10_000):
+        crit = wineland_criterion(n)
+        for db in np.linspace(-15.0, 0.5, 12):
+            for contrast in (0.5, 0.9, 0.98):
+                md = wineland_moment_data_from_xi2(n, 10 ** (db / 10), contrast)
+                res = gr_from_product(crit, md)
+                grid_max = max(gr_tangent_ratio(crit, md, t) for t in t_grid)
+                assert res.value >= grid_max - 1e-12 * abs(grid_max)
+                t = res.params.t
+                if t > 0.0:
+                    r0 = gr_tangent_ratio(crit, md, t)
+                    lo = gr_tangent_ratio(crit, md, t * (1 - 1e-4))
+                    hi = gr_tangent_ratio(crit, md, t * (1 + 1e-4))
+                    assert abs(hi - lo) <= 1e-9 * abs(r0)
+                    assert r0 >= max(lo, hi)
+
+
+def test_gr_no_finite_maximizer_is_degenerate():
+    # Var(O2) = 0 with a zero O2 cap: the tangent ratio keeps rising in t
+    from entbound.criteria import criterion_from_config
+    from entbound.moments import MomentData
+
+    spin = {"lambda_min": -3.0, "lambda_max": 3.0}
+    crit = criterion_from_config({
+        "kind": "custom", "form": "product",
+        "o1": {"coeffs": {"z": 1.0}, **spin},
+        "o2": {"constant": 0},
+        "b": {"coeffs": {"x": 1.0}, **spin},
+    })
+    md = MomentData(6.0, [2.0, 0.0, 0.0], np.eye(3) * 0.5)
+    ratios = [gr_tangent_ratio(crit, md, t) for t in (1.0, 10.0, 100.0, 1e4)]
+    assert ratios == sorted(ratios)
+    res = gr_from_product(crit, md)
+    assert res.value == 0.0
+    assert res.params is None
+    assert res.diagnostics["degenerate"]
 
 
 def test_certification_recompute():
@@ -303,7 +337,7 @@ def test_g2_independent_product_ensembles():
     cov[3:, 3:] = md.covariance
     bp = BipartiteMomentData(n, n, md.mean, md.mean, cov)
     assert giovannetti_g2(bp, 1.0, 1.0) >= 1.0 - 1e-10
-    rep = giovannetti_bounds(bp, grid_points=3)
+    rep = giovannetti_bounds(bp)
     assert rep.bsa.value == 0.0
     assert rep.gr.value == 0.0
 
@@ -334,11 +368,13 @@ def test_g2_unmeasured_fails():
 
 def test_giovannetti_bounds_split_squeezed():
     bp = split_squeezed()
-    rep = giovannetti_bounds(bp, grid_points=3)
+    rep = giovannetti_bounds(bp)
     assert rep.g2 < 1.0
     assert rep.bsa.value > 0.0
     assert rep.gr.value > 0.0
     assert rep.bsa.gains is not None
+    assert rep.bsa.diagnostics["converged"] is True
+    assert rep.gr.diagnostics["converged"] is True
     # regression baselines for the -3.8 dB split working point
     assert rep.g2 == pytest.approx(0.4164598841942367, rel=1e-6)
     assert rep.bsa.value == pytest.approx(0.35318013, rel=1e-5)
@@ -352,7 +388,7 @@ def test_giovannetti_bounds_split_squeezed():
 
 def test_giovannetti_certification_recompute():
     bp = split_squeezed()
-    rep = giovannetti_bounds(bp, grid_points=3)
+    rep = giovannetti_bounds(bp)
     gz, gy = rep.gr.gains
     again = gr_tangent_ratio(
         giovannetti_criterion(bp.n_a, bp.n_b, gz, gy), bp, rep.gr.params.t
